@@ -2,7 +2,7 @@
 //! time? Runs one stickiness level of the record sweep in profiled mode
 //! ([`clap_core::Pipeline::profile_contention`]) and prints the
 //! per-worker utilization table — direct evidence for ROADMAP item 2
-//! (the crossbeam sweep losing to sequential on small workloads).
+//! (the pooled sweep losing to sequential on small workloads).
 //!
 //! ```text
 //! dbgcontend [workload-name] [--workers N] [--trace t.json] [--metrics m.jsonl]

@@ -67,11 +67,11 @@ use crate::{ExploreCutover, Pipeline, PipelineConfig, PipelineError, RecordedFai
 use clap_profile::{PathRecorder, SyncOrderRecorder};
 use clap_symex::FailureContext;
 use clap_vm::{Backend, MultiMonitor, Outcome, RandomScheduler, Vm};
-use crossbeam::channel::{Receiver, Sender};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::Scope;
 use std::time::{Duration, Instant};
@@ -652,7 +652,7 @@ fn run_level_on_pool(
     carried: Vec<RecordedFailure>,
     profile: Option<&mut Vec<WorkerAttribution>>,
 ) -> Vec<RecordedFailure> {
-    let (tx, rx) = crossbeam::channel::unbounded::<WorkerMsg>();
+    let (tx, rx) = mpsc::channel::<WorkerMsg>();
     let task = Arc::new(LevelTask {
         stickiness,
         budget,

@@ -194,10 +194,12 @@ pub enum PipelineError {
     /// modeling gap).
     Unsat,
     /// A bounded schedule search exhausted its preemption bounds without
-    /// finding a schedule — and without covering the full schedule space,
-    /// so this is **not** an unsatisfiability verdict. Retry with larger
-    /// bounds, or use [`SolverChoice::Auto`], which escalates and falls
-    /// back to a complete engine on its own.
+    /// finding a schedule — and either did not cover the full schedule
+    /// space or searched a trace whose encoding is incomplete (see
+    /// [`SymTrace::encoding_complete`]), so this is **not** an
+    /// unsatisfiability verdict. Retry with larger bounds, or use
+    /// [`SolverChoice::Auto`], which escalates and falls back to a
+    /// complete engine on its own.
     SearchExhausted,
     /// The solver ran out of budget.
     SolverBudget,
@@ -489,69 +491,7 @@ impl Pipeline {
         let t = Instant::now();
         let (schedule, witness, portfolio) = {
             let _s = clap_obs::span("solve");
-            match &config.solver {
-                SolverChoice::Sequential(solver_config) => {
-                    let outcome = solve(&self.program, &system, *solver_config);
-                    let report =
-                        |o| PortfolioReport::single(EngineKind::Sequential, o, t.elapsed());
-                    match outcome {
-                        SolveOutcome::Sat(solution) => (
-                            solution.schedule,
-                            solution.witness,
-                            report(AttemptOutcome::Found),
-                        ),
-                        // The sequential search is complete: Unsat here is
-                        // a certificate.
-                        SolveOutcome::Unsat(_) => return Err(PipelineError::Unsat),
-                        SolveOutcome::Timeout(_) => return Err(PipelineError::SolverBudget),
-                    }
-                }
-                SolverChoice::Parallel(parallel_config) => {
-                    match solve_parallel(&self.program, &system, *parallel_config) {
-                        ParallelOutcome::Found {
-                            schedule, witness, ..
-                        } => {
-                            let report = PortfolioReport::single(
-                                EngineKind::Parallel,
-                                AttemptOutcome::Found,
-                                t.elapsed(),
-                            );
-                            (schedule, witness, report)
-                        }
-                        // A bounded search that came up empty is only an
-                        // unsatisfiability proof when the engine certifies
-                        // it covered the whole schedule space — and the
-                        // channel/mailbox encoding is incomplete, so
-                        // traces with channel ops never certify Unsat.
-                        ParallelOutcome::Exhausted(stats) if stats.complete => {
-                            if trace.has_channel_ops() || trace.has_atomic_ops() {
-                                return Err(PipelineError::SearchExhausted);
-                            }
-                            return Err(PipelineError::Unsat);
-                        }
-                        ParallelOutcome::Exhausted(_) => {
-                            return Err(PipelineError::SearchExhausted)
-                        }
-                        ParallelOutcome::Budget(_) => return Err(PipelineError::SolverBudget),
-                    }
-                }
-                SolverChoice::Auto(auto_config) => {
-                    match solve_auto(&self.program, &system, auto_config) {
-                        PortfolioOutcome::Found {
-                            schedule,
-                            witness,
-                            report,
-                        } => (schedule, witness, report),
-                        PortfolioOutcome::Unsat(_) => {
-                            if trace.has_channel_ops() || trace.has_atomic_ops() {
-                                return Err(PipelineError::SolverBudget);
-                            }
-                            return Err(PipelineError::Unsat);
-                        }
-                        PortfolioOutcome::Budget(_) => return Err(PipelineError::SolverBudget),
-                    }
-                }
-            }
+            solve_phase(&self.program, &system, &config.solver)?
         };
         phases.solve = t.elapsed();
 
@@ -663,6 +603,62 @@ impl Pipeline {
         let mut report = self.reproduce_from(config, &recorded)?;
         report.phases.total = t0.elapsed();
         Ok(report)
+    }
+}
+
+/// Runs the configured solver and classifies its outcome: the one place
+/// where an exhausted search becomes [`PipelineError::Unsat`] (a
+/// certificate) or a weaker error.
+fn solve_phase(
+    program: &Program,
+    system: &ConstraintSystem<'_>,
+    solver: &SolverChoice,
+) -> Result<(Schedule, Witness, PortfolioReport), PipelineError> {
+    let t = Instant::now();
+    // A complete search certifies unsatisfiability only when the encoding
+    // covers every operation of the trace.
+    let certifiable = system.trace.encoding_complete();
+    let found = |engine| PortfolioReport::single(engine, AttemptOutcome::Found, t.elapsed());
+    match solver {
+        SolverChoice::Sequential(solver_config) => {
+            match solve(program, system, *solver_config) {
+                SolveOutcome::Sat(solution) => Ok((
+                    solution.schedule,
+                    solution.witness,
+                    found(EngineKind::Sequential),
+                )),
+                // The sequential search is complete, and downgrades its
+                // own Unsat on incompletely encoded traces: Unsat here is
+                // a certificate.
+                SolveOutcome::Unsat(_) => Err(PipelineError::Unsat),
+                SolveOutcome::Timeout(_) => Err(PipelineError::SolverBudget),
+            }
+        }
+        SolverChoice::Parallel(parallel_config) => {
+            match solve_parallel(program, system, *parallel_config) {
+                ParallelOutcome::Found {
+                    schedule, witness, ..
+                } => Ok((schedule, witness, found(EngineKind::Parallel))),
+                // A bounded search that came up empty is only an
+                // unsatisfiability proof when the engine certifies it
+                // covered the whole schedule space.
+                ParallelOutcome::Exhausted(stats) if stats.complete && certifiable => {
+                    Err(PipelineError::Unsat)
+                }
+                ParallelOutcome::Exhausted(_) => Err(PipelineError::SearchExhausted),
+                ParallelOutcome::Budget(_) => Err(PipelineError::SolverBudget),
+            }
+        }
+        SolverChoice::Auto(auto_config) => match solve_auto(program, system, auto_config) {
+            PortfolioOutcome::Found {
+                schedule,
+                witness,
+                report,
+            } => Ok((schedule, witness, report)),
+            PortfolioOutcome::Unsat(_) if certifiable => Err(PipelineError::Unsat),
+            PortfolioOutcome::Unsat(_) => Err(PipelineError::SearchExhausted),
+            PortfolioOutcome::Budget(_) => Err(PipelineError::SolverBudget),
+        },
     }
 }
 
@@ -792,6 +788,17 @@ mod tests {
         assert!(matches!(err, PipelineError::SolverBudget), "got {err:?}");
     }
 
+    /// A recorded trace whose bug predicate is rewritten to `false`, so
+    /// every complete search over it exhausts.
+    fn unsat_trace(pipeline: &Pipeline) -> SymTrace {
+        let recorded = pipeline
+            .record_failure(&PipelineConfig::new(MemModel::Sc))
+            .unwrap();
+        let mut trace = pipeline.symbolic_trace(&recorded).unwrap();
+        trace.bug = trace.arena.constant(0);
+        trace
+    }
+
     #[test]
     fn auto_certifies_genuine_unsat() {
         // Rewrite a real failing trace's bug predicate to `false`: the
@@ -799,10 +806,7 @@ mod tests {
         // either through a ladder that cleanly covered every preemption
         // point, or through the complete sequential fallback.
         let pipeline = Pipeline::from_source(LOST_UPDATE).unwrap();
-        let config = PipelineConfig::new(MemModel::Sc);
-        let recorded = pipeline.record_failure(&config).unwrap();
-        let mut trace = pipeline.symbolic_trace(&recorded).unwrap();
-        trace.bug = trace.arena.constant(0);
+        let trace = unsat_trace(&pipeline);
         let system = ConstraintSystem::build(pipeline.program(), &trace, MemModel::Sc);
         let outcome = solve_auto(pipeline.program(), &system, &AutoConfig::default());
         let PortfolioOutcome::Unsat(report) = outcome else {
@@ -820,6 +824,39 @@ mod tests {
     }
 
     #[test]
+    fn complete_exhaustion_is_classified_by_encoding_completeness() {
+        // Lost update plus a channel round trip in main: the channel ops
+        // leave the constraint encoding incomplete without touching the bug.
+        const WITH_CHANNEL: &str = "global int x = 0; chan ch(1);
+             fn w() { let v: int = x; yield; x = v + 1; }
+             fn main() { send(ch, 1); let r: int = recv(ch);
+                         let a: thread = fork w(); let b: thread = fork w();
+                         join a; join b; assert(x == 2, \"lost\"); }";
+        let complete_parallel = SolverChoice::Parallel(ParallelConfig {
+            max_cs: 8,
+            ..ParallelConfig::default()
+        });
+        let auto = SolverChoice::Auto(AutoConfig::default());
+        for (source, encoding_complete) in [(LOST_UPDATE, true), (WITH_CHANNEL, false)] {
+            let pipeline = Pipeline::from_source(source).unwrap();
+            let trace = unsat_trace(&pipeline);
+            assert_eq!(trace.encoding_complete(), encoding_complete);
+            let system = ConstraintSystem::build(pipeline.program(), &trace, MemModel::Sc);
+            // Both the parallel bound and the ladder's top rung cover
+            // every preemption point, so exhaustion is a complete search.
+            assert!(clap_parallel::preemption_point_count(&system) <= 8);
+            for solver in [&complete_parallel, &auto] {
+                let err = solve_phase(pipeline.program(), &system, solver).unwrap_err();
+                if encoding_complete {
+                    assert!(matches!(err, PipelineError::Unsat), "got {err:?}");
+                } else {
+                    assert!(matches!(err, PipelineError::SearchExhausted), "got {err:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn auto_pipeline_reproduces_and_names_winner() {
         let pipeline = Pipeline::from_source(LOST_UPDATE).unwrap();
         let config = PipelineConfig::new(MemModel::Sc).with_auto_solver(AutoConfig::default());
@@ -834,10 +871,9 @@ mod tests {
     }
 
     #[test]
-    fn auto_portfolio_is_deterministic_without_racing() {
-        // Racing disabled + one validator worker makes every attempt
-        // deterministic, so the same recording must yield the same
-        // schedule on repeated solves.
+    fn auto_portfolio_is_deterministic_with_one_worker() {
+        // One validator worker makes every attempt deterministic, so the
+        // same recording must yield the same schedule on repeated solves.
         let pipeline = Pipeline::from_source(LOST_UPDATE).unwrap();
         let config = PipelineConfig::new(MemModel::Sc);
         let recorded = pipeline.record_failure(&config).unwrap();
@@ -861,36 +897,6 @@ mod tests {
         assert_eq!(schedule_a.order, schedule_b.order);
         assert_eq!(report_a.winner, report_b.winner);
         assert_eq!(report_a.attempts.len(), report_b.attempts.len());
-    }
-
-    #[test]
-    fn racing_portfolio_still_finds_a_schedule() {
-        // With racing enabled the sequential solver runs concurrently
-        // with the ladder and the loser is cancelled; whichever engine
-        // wins, the result must be a validated schedule and the raced
-        // attempt must appear in the report.
-        let pipeline = Pipeline::from_source(LOST_UPDATE).unwrap();
-        let config = PipelineConfig::new(MemModel::Sc);
-        let recorded = pipeline.record_failure(&config).unwrap();
-        let trace = pipeline.symbolic_trace(&recorded).unwrap();
-        let system = ConstraintSystem::build(pipeline.program(), &trace, MemModel::Sc);
-        let auto = AutoConfig::default().with_racing();
-        let outcome = solve_auto(pipeline.program(), &system, &auto);
-        let PortfolioOutcome::Found {
-            schedule, report, ..
-        } = outcome
-        else {
-            panic!("expected a schedule, got {outcome:?}")
-        };
-        clap_constraints::validate(pipeline.program(), &system, &schedule).unwrap();
-        assert!(report.winner.is_some());
-        assert!(
-            report
-                .attempts
-                .iter()
-                .any(|a| a.engine == EngineKind::Sequential),
-            "the raced sequential attempt must be on record: {report:?}"
-        );
     }
 
     #[test]

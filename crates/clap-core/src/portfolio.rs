@@ -13,8 +13,7 @@
 //!    already covered, so no level is enumerated twice);
 //! 2. on ladder exhaustion or budget pressure **falls back to the
 //!    sequential DPLL(T) solver**, the only engine here that can certify
-//!    unsatisfiability (optionally *racing* it from the start with
-//!    cooperative cancellation through a shared [`AtomicBool`]);
+//!    unsatisfiability;
 //! 3. slices one overall [`Duration`] budget across the attempts —
 //!    each rung gets `remaining / attempts_left`, the fallback gets
 //!    everything left — and records every attempt (engine, bounds,
@@ -25,13 +24,9 @@
 
 use clap_constraints::{ConstraintSystem, Schedule, Witness};
 use clap_ir::Program;
-use clap_parallel::{
-    preemption_point_count, solve_parallel_cancellable, ParallelConfig, ParallelOutcome,
-};
-use clap_solver::{solve_cancellable, SolveOutcome, SolverConfig};
+use clap_parallel::{preemption_point_count, solve_parallel, ParallelConfig, ParallelOutcome};
+use clap_solver::{solve, SolveOutcome, SolverConfig};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Portfolio configuration for [`SolverChoice::Auto`].
@@ -47,11 +42,6 @@ pub struct AutoConfig {
     /// Overall wall-clock budget across every attempt, anchored when the
     /// solve phase starts (`None` = unbounded).
     pub solve_timeout: Option<Duration>,
-    /// Race the sequential solver concurrently with the ladder instead
-    /// of only falling back to it. First engine to find a schedule
-    /// cancels the other through a shared stop flag. Racing trades the
-    /// portfolio's run-to-run schedule determinism for latency.
-    pub race_sequential: bool,
     /// Base knobs for the parallel engine (workers, per-level caps).
     /// `min_cs`/`max_cs`/`timeout` are overridden per rung.
     pub parallel: ParallelConfig,
@@ -65,7 +55,6 @@ impl Default for AutoConfig {
         AutoConfig {
             ladder: vec![1, 3, 5, 8],
             solve_timeout: None,
-            race_sequential: false,
             parallel: ParallelConfig::default(),
             sequential: SolverConfig::default(),
         }
@@ -76,12 +65,6 @@ impl AutoConfig {
     /// Sets the overall solve budget.
     pub fn with_solve_timeout(mut self, timeout: Duration) -> Self {
         self.solve_timeout = Some(timeout);
-        self
-    }
-
-    /// Enables racing the sequential solver against the ladder.
-    pub fn with_racing(mut self) -> Self {
-        self.race_sequential = true;
         self
     }
 }
@@ -119,8 +102,6 @@ pub enum AttemptOutcome {
     Unsat,
     /// The attempt's time slice ran out.
     Timeout,
-    /// The race partner won first and cancelled this attempt.
-    Cancelled,
 }
 
 impl fmt::Display for AttemptOutcome {
@@ -131,7 +112,6 @@ impl fmt::Display for AttemptOutcome {
             AttemptOutcome::Budget => "budget",
             AttemptOutcome::Unsat => "unsat",
             AttemptOutcome::Timeout => "timeout",
-            AttemptOutcome::Cancelled => "cancelled",
         };
         write!(f, "{s}")
     }
@@ -197,18 +177,6 @@ pub enum PortfolioOutcome {
     Budget(PortfolioReport),
 }
 
-/// What the escalation ladder concluded.
-enum LadderResult {
-    /// A rung produced a validated schedule.
-    Found(Schedule, Witness),
-    /// A rung exhausted cleanly at a bound covering every preemption
-    /// point: a complete-search unsatisfiability certificate.
-    CertifiedUnsat,
-    /// The ladder ended without a verdict (exhausted below the
-    /// completeness bound, hit budget, or was cancelled).
-    NoVerdict,
-}
-
 /// Records one finished attempt in the report and the metrics stream.
 fn record(report: &mut PortfolioReport, attempt: PortfolioAttempt) {
     clap_obs::add("portfolio.attempts", 1);
@@ -251,150 +219,87 @@ pub fn solve_auto(
     // complete-search certificate (every preemption placement covered).
     let points = preemption_point_count(system);
 
-    let cancel = AtomicBool::new(false);
-    let seq_slot: Mutex<Option<(SolveOutcome, Duration)>> = Mutex::new(None);
     let remaining = || {
         config
             .solve_timeout
             .map(|t| t.saturating_sub(start.elapsed()))
     };
 
-    let ladder_result = std::thread::scope(|scope| {
-        if config.race_sequential {
-            scope.spawn(|| {
-                let t0 = Instant::now();
-                let seq_config = SolverConfig {
-                    timeout: remaining(),
-                    ..config.sequential
+    let mut min_cs = 0usize;
+    for (i, &max_cs) in ladder.iter().enumerate() {
+        // Budget slicing: rungs left plus the sequential fallback.
+        let attempts_left = (ladder.len() - i + 1) as u32;
+        let slice = remaining().map(|r| r / attempts_left);
+        if slice.is_some_and(|s| s.is_zero()) {
+            break;
+        }
+        let rung_config = ParallelConfig {
+            min_cs,
+            max_cs,
+            timeout: slice,
+            ..config.parallel
+        };
+        let t0 = Instant::now();
+        let outcome = solve_parallel(program, system, rung_config);
+        let attempt = move |outcome| PortfolioAttempt {
+            engine: EngineKind::Parallel,
+            cs_bounds: Some((min_cs, max_cs)),
+            outcome,
+            wall: t0.elapsed(),
+        };
+        match outcome {
+            ParallelOutcome::Found {
+                schedule, witness, ..
+            } => {
+                record(&mut report, attempt(AttemptOutcome::Found));
+                record_winner(&mut report, EngineKind::Parallel);
+                return PortfolioOutcome::Found {
+                    schedule,
+                    witness,
+                    report,
                 };
-                let outcome = solve_cancellable(program, system, seq_config, Some(&cancel));
-                if matches!(outcome, SolveOutcome::Sat(_)) {
-                    cancel.store(true, Ordering::Relaxed);
+            }
+            ParallelOutcome::Exhausted(_) => {
+                record(&mut report, attempt(AttemptOutcome::Exhausted));
+                // Rungs escalate contiguously from 0, so a clean
+                // exhaustion at a bound covering every preemption point
+                // is a completeness certificate.
+                if max_cs >= points {
+                    return PortfolioOutcome::Unsat(report);
                 }
-                *seq_slot.lock().expect("seq slot") = Some((outcome, t0.elapsed()));
-            });
-        }
-
-        let mut min_cs = 0usize;
-        for (i, &max_cs) in ladder.iter().enumerate() {
-            if cancel.load(Ordering::Relaxed) {
+                min_cs = max_cs + 1;
+            }
+            ParallelOutcome::Budget(_) => {
+                record(&mut report, attempt(AttemptOutcome::Budget));
+                // Budget pressure: higher rungs only cost more, so hand
+                // the remaining budget to the fallback.
                 break;
             }
-            // Budget slicing: rungs left plus the sequential fallback.
-            let attempts_left = (ladder.len() - i + 1) as u32;
-            let slice = remaining().map(|r| r / attempts_left);
-            if slice.is_some_and(|s| s.is_zero()) {
-                break;
-            }
-            let rung_config = ParallelConfig {
-                min_cs,
-                max_cs,
-                timeout: slice,
-                ..config.parallel
-            };
-            let t0 = Instant::now();
-            let outcome = solve_parallel_cancellable(program, system, rung_config, Some(&cancel));
-            let wall = t0.elapsed();
-            match outcome {
-                ParallelOutcome::Found {
-                    schedule, witness, ..
-                } => {
-                    cancel.store(true, Ordering::Relaxed);
-                    record(
-                        &mut report,
-                        PortfolioAttempt {
-                            engine: EngineKind::Parallel,
-                            cs_bounds: Some((min_cs, max_cs)),
-                            outcome: AttemptOutcome::Found,
-                            wall,
-                        },
-                    );
-                    return LadderResult::Found(schedule, witness);
-                }
-                ParallelOutcome::Exhausted(_) => {
-                    record(
-                        &mut report,
-                        PortfolioAttempt {
-                            engine: EngineKind::Parallel,
-                            cs_bounds: Some((min_cs, max_cs)),
-                            outcome: AttemptOutcome::Exhausted,
-                            wall,
-                        },
-                    );
-                    // Rungs escalate contiguously from 0, so a clean
-                    // exhaustion at a bound covering every preemption
-                    // point is a completeness certificate.
-                    if max_cs >= points {
-                        cancel.store(true, Ordering::Relaxed);
-                        return LadderResult::CertifiedUnsat;
-                    }
-                    min_cs = max_cs + 1;
-                }
-                ParallelOutcome::Budget(_) => {
-                    let was_cancelled = cancel.load(Ordering::Relaxed);
-                    record(
-                        &mut report,
-                        PortfolioAttempt {
-                            engine: EngineKind::Parallel,
-                            cs_bounds: Some((min_cs, max_cs)),
-                            outcome: if was_cancelled {
-                                AttemptOutcome::Cancelled
-                            } else {
-                                AttemptOutcome::Budget
-                            },
-                            wall,
-                        },
-                    );
-                    // Budget pressure: higher rungs only cost more, so
-                    // hand the remaining budget to the fallback.
-                    break;
-                }
-            }
         }
-        LadderResult::NoVerdict
-    });
-
-    // The racing sequential thread (if any) has joined by now.
-    let raced = seq_slot.into_inner().expect("seq slot");
-
-    match ladder_result {
-        LadderResult::Found(schedule, witness) => {
-            // Record how the raced sequential attempt ended, for the log.
-            if let Some((outcome, wall)) = raced {
-                record(&mut report, seq_attempt(&outcome, wall, &cancel));
-            }
-            record_winner(&mut report, EngineKind::Parallel);
-            return PortfolioOutcome::Found {
-                schedule,
-                witness,
-                report,
-            };
-        }
-        LadderResult::CertifiedUnsat => {
-            if let Some((outcome, wall)) = raced {
-                record(&mut report, seq_attempt(&outcome, wall, &cancel));
-            }
-            return PortfolioOutcome::Unsat(report);
-        }
-        LadderResult::NoVerdict => {}
     }
 
-    // Ladder came up empty: the sequential engine decides. Either it
-    // already ran as the race partner, or it runs now with all the
+    // Ladder came up empty: the sequential engine decides with all the
     // remaining budget.
-    let (seq_outcome, seq_wall) = match raced {
-        Some((outcome, wall)) => (outcome, wall),
-        None => {
-            let t0 = Instant::now();
-            let seq_config = SolverConfig {
-                timeout: remaining(),
-                ..config.sequential
-            };
-            let outcome = solve_cancellable(program, system, seq_config, None);
-            (outcome, t0.elapsed())
-        }
+    let t0 = Instant::now();
+    let seq_config = SolverConfig {
+        timeout: remaining(),
+        ..config.sequential
     };
-    record(&mut report, seq_attempt(&seq_outcome, seq_wall, &cancel));
+    let seq_outcome = solve(program, system, seq_config);
+    let outcome = match seq_outcome {
+        SolveOutcome::Sat(_) => AttemptOutcome::Found,
+        SolveOutcome::Unsat(_) => AttemptOutcome::Unsat,
+        SolveOutcome::Timeout(_) => AttemptOutcome::Timeout,
+    };
+    record(
+        &mut report,
+        PortfolioAttempt {
+            engine: EngineKind::Sequential,
+            cs_bounds: None,
+            outcome,
+            wall: t0.elapsed(),
+        },
+    );
     match seq_outcome {
         SolveOutcome::Sat(solution) => {
             record_winner(&mut report, EngineKind::Sequential);
@@ -406,23 +311,5 @@ pub fn solve_auto(
         }
         SolveOutcome::Unsat(_) => PortfolioOutcome::Unsat(report),
         SolveOutcome::Timeout(_) => PortfolioOutcome::Budget(report),
-    }
-}
-
-/// Classifies a sequential outcome as a portfolio attempt record.
-fn seq_attempt(outcome: &SolveOutcome, wall: Duration, cancel: &AtomicBool) -> PortfolioAttempt {
-    let outcome = match outcome {
-        SolveOutcome::Sat(_) => AttemptOutcome::Found,
-        SolveOutcome::Unsat(_) => AttemptOutcome::Unsat,
-        // A cancelled solve surfaces as Timeout; attribute it to the race
-        // partner when the shared flag is set.
-        SolveOutcome::Timeout(_) if cancel.load(Ordering::Relaxed) => AttemptOutcome::Cancelled,
-        SolveOutcome::Timeout(_) => AttemptOutcome::Timeout,
-    };
-    PortfolioAttempt {
-        engine: EngineKind::Sequential,
-        cs_bounds: None,
-        outcome,
-        wall,
     }
 }

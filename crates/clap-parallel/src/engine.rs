@@ -10,8 +10,8 @@ use crate::gen::{for_each_csp_set, preemption_point_count, Generator};
 use clap_constraints::{validate, ConstraintSystem, Schedule, Witness};
 use clap_ir::Program;
 use clap_symex::SapId;
-use crossbeam::channel::{Receiver, Sender};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -71,8 +71,8 @@ pub struct ParallelStats {
     pub good: u64,
     /// The preemption bound at which the search stopped.
     pub cs_bound: usize,
-    /// Whether any per-level cap (sets, schedules, DFS nodes), the
-    /// deadline, or an external cancellation cut the enumeration short.
+    /// Whether any per-level cap (sets, schedules, DFS nodes) or the
+    /// deadline cut the enumeration short.
     pub truncated: bool,
     /// Whether the search provably covered the **entire** schedule space:
     /// nothing was truncated and the preemption ladder reached the number
@@ -103,22 +103,22 @@ pub enum ParallelOutcome {
     /// [`ParallelStats::complete`] is set**: a capped ladder only shows
     /// that no schedule exists within the searched preemption bounds.
     Exhausted(ParallelStats),
-    /// A budget (deadline, set cap, generation cap) or an external
-    /// cancellation stopped the search.
+    /// A budget (deadline, set cap, generation cap) stopped the search.
     Budget(ParallelStats),
 }
 
 /// One preemption-bound rung handed to the persistent validator pool.
-/// Workers drain `rx`, validate candidates, and send one `()` on
-/// `done_tx` when the rung's channel closes — the producer counts those
-/// to detect rung completion (the pool itself never joins between rungs).
+/// Workers take turns on the shared `rx`, validate candidates, and send
+/// one `()` on `done_tx` when the rung's channel closes — the producer
+/// counts those to detect rung completion (the pool itself never joins
+/// between rungs).
 struct Rung {
-    rx: Receiver<(usize, Vec<SapId>)>,
+    rx: Mutex<Receiver<(usize, Vec<SapId>)>>,
     stop: AtomicBool,
     validated: AtomicU64,
     good: Mutex<Vec<(Schedule, Witness)>>,
     stop_after_good: usize,
-    done_tx: Sender<()>,
+    done_tx: SyncSender<()>,
 }
 
 struct ValidatorPoolState {
@@ -157,20 +157,6 @@ pub fn solve_parallel(
     system: &ConstraintSystem<'_>,
     config: ParallelConfig,
 ) -> ParallelOutcome {
-    solve_parallel_cancellable(program, system, config, None)
-}
-
-/// [`solve_parallel`] with a cooperative cancellation hook: when `cancel`
-/// is set by another thread (e.g. a portfolio race partner that already
-/// found a schedule), the search stops at the next check point and
-/// returns [`ParallelOutcome::Budget`] — cancellation is a budget event,
-/// never an exhaustion claim.
-pub fn solve_parallel_cancellable(
-    program: &Program,
-    system: &ConstraintSystem<'_>,
-    config: ParallelConfig,
-    cancel: Option<&AtomicBool>,
-) -> ParallelOutcome {
     let deadline = config.timeout.map(|t| Instant::now() + t);
     let workers = if config.workers == 0 {
         std::thread::available_parallelism()
@@ -184,8 +170,6 @@ pub fn solve_parallel_cancellable(
         cs_bound: config.min_cs,
         ..ParallelStats::default()
     };
-    let mut budget_hit = false;
-    let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
 
     // Every emitted order is a full permutation of the trace's SAPs, so a
     // batch of k orders is one flat buffer of k·n ids — one allocation
@@ -234,12 +218,14 @@ pub fn solve_parallel_cancellable(
                     let mut recv_wait = Duration::ZERO;
                     let mut checked: u64 = 0;
                     loop {
-                        // Time blocked on the producer: starved validators
+                        // Time blocked on the producer, including the wait
+                        // for the shared receiver's lock: starved validators
                         // show up as a high recv-wait share, distinguishing
                         // a generation-bound rung from a validation-bound
                         // one in the contention picture.
                         let t_wait = Instant::now();
-                        let Ok((count, flat)) = rung.rx.recv() else {
+                        let next = rung.rx.lock().expect("rung receiver lock").recv();
+                        let Ok((count, flat)) = next else {
                             recv_wait += t_wait.elapsed();
                             break;
                         };
@@ -289,16 +275,11 @@ pub fn solve_parallel_cancellable(
 
         for c in config.min_cs..=config.max_cs {
             stats.cs_bound = c;
-            if cancelled() {
-                stats.truncated = true;
-                budget_hit = true;
-                break;
-            }
             let truncated = AtomicBool::new(false);
-            let (tx, rx) = crossbeam::channel::bounded::<(usize, Vec<SapId>)>(64);
-            let (done_tx, done_rx) = crossbeam::channel::bounded::<()>(workers);
+            let (tx, rx) = mpsc::sync_channel::<(usize, Vec<SapId>)>(64);
+            let (done_tx, done_rx) = mpsc::sync_channel::<()>(workers);
             let rung = Arc::new(Rung {
-                rx,
+                rx: Mutex::new(rx),
                 stop: AtomicBool::new(false),
                 validated: AtomicU64::new(0),
                 good: Mutex::new(Vec::new()),
@@ -318,16 +299,11 @@ pub fn solve_parallel_cancellable(
             let mut generator = Generator::new(program, system, config.max_generated_per_level);
             generator.set_node_budget(config.max_nodes_per_level);
             generator.set_deadline(deadline);
-            generator.set_cancel(cancel);
             let mut batch: Vec<SapId> = Vec::with_capacity(BATCH_ORDERS * n);
             let mut batch_count = 0usize;
             let exhausted_sets =
                 for_each_csp_set(system, c, config.max_sets_per_level, &mut |set| {
                     if stop.load(Ordering::Relaxed) {
-                        return false;
-                    }
-                    if cancelled() {
-                        truncated.store(true, Ordering::Relaxed);
                         return false;
                     }
                     if let Some(deadline) = deadline {
@@ -393,7 +369,6 @@ pub fn solve_parallel_cancellable(
                 });
             }
             if stats.truncated {
-                budget_hit = true;
                 break;
             }
         }
@@ -408,7 +383,7 @@ pub fn solve_parallel_cancellable(
     stats.complete =
         !stats.truncated && config.min_cs == 0 && config.max_cs >= preemption_point_count(system);
     emit_stats(&stats);
-    if budget_hit {
+    if stats.truncated {
         ParallelOutcome::Budget(stats)
     } else {
         ParallelOutcome::Exhausted(stats)

@@ -12,8 +12,7 @@ pub mod engine;
 pub mod gen;
 
 pub use engine::{
-    solve_parallel, solve_parallel_cancellable, worst_case_schedules_log10, ParallelConfig,
-    ParallelOutcome, ParallelStats,
+    solve_parallel, worst_case_schedules_log10, ParallelConfig, ParallelOutcome, ParallelStats,
 };
 pub use gen::{csp_universe, for_each_csp_set, preemption_point_count, Csp, Generator};
 
@@ -133,19 +132,28 @@ mod tests {
         );
         trace.bug = trace.arena.constant(0);
         let sys = ConstraintSystem::build(&program, &trace, MemModel::Sc);
-        let outcome = solve_parallel(
-            &program,
-            &sys,
-            ParallelConfig {
-                max_cs: 2,
-                ..ParallelConfig::default()
-            },
-        );
-        assert!(
-            matches!(outcome, ParallelOutcome::Exhausted(_)),
-            "{outcome:?}"
-        );
-        assert_eq!(outcome.stats().good, 0);
+        // Several validators share one receiver: every generated candidate
+        // must still be validated exactly once, at any worker count.
+        let mut generated = None;
+        for workers in [0, 1, 3] {
+            let outcome = solve_parallel(
+                &program,
+                &sys,
+                ParallelConfig {
+                    workers,
+                    max_cs: 2,
+                    ..ParallelConfig::default()
+                },
+            );
+            assert!(
+                matches!(outcome, ParallelOutcome::Exhausted(_)),
+                "{outcome:?}"
+            );
+            let stats = outcome.stats();
+            assert_eq!(stats.good, 0);
+            assert_eq!(stats.validated, stats.generated, "workers {workers}");
+            assert_eq!(*generated.get_or_insert(stats.generated), stats.generated);
+        }
     }
 
     #[test]
@@ -173,9 +181,16 @@ mod tests {
             let (program, trace) = build_failure(src, model, 3000);
             let sys = ConstraintSystem::build(&program, &trace, model);
             let seq = clap_solver::solve(&program, &sys, clap_solver::SolverConfig::default());
-            let par = solve_parallel(&program, &sys, ParallelConfig::default());
             assert!(seq.solution().is_some(), "sequential solves");
-            assert!(par.schedule().is_some(), "parallel solves");
+            for workers in [0, 1, 3] {
+                let config = ParallelConfig {
+                    workers,
+                    ..ParallelConfig::default()
+                };
+                let par = solve_parallel(&program, &sys, config);
+                let schedule = par.schedule().expect("parallel solves");
+                validate(&program, &sys, schedule).unwrap();
+            }
         }
     }
 

@@ -285,34 +285,27 @@ impl SymTrace {
         self.per_thread.len()
     }
 
-    /// Whether the trace contains any channel or mailbox operation. The
-    /// constraint encoding for these is incomplete (try_* result
+    /// Whether the constraint encoding covers every operation of the
+    /// trace. It does not for channel/mailbox operations (try_* result
     /// variables are grounded by the validator, FIFO/capacity legality is
-    /// re-checked rather than encoded), so exhausted searches over such
-    /// traces must report a budget event instead of certifying
-    /// unsatisfiability.
-    pub fn has_channel_ops(&self) -> bool {
-        self.saps.iter().any(|s| {
-            matches!(
-                s.kind,
-                SapKind::Send { .. }
-                    | SapKind::Recv { .. }
-                    | SapKind::TrySend { .. }
-                    | SapKind::TryRecv { .. }
-                    | SapKind::ChanClose(_)
-                    | SapKind::MailboxSend { .. }
-                    | SapKind::MailboxRecv { .. }
-            )
+    /// re-checked rather than encoded) nor for C11 atomics (store-to-load
+    /// forwarding is pinned, release sequences are approximated). Only a
+    /// complete search over a completely encoded trace may certify
+    /// unsatisfiability; otherwise an exhausted search certifies nothing.
+    pub fn encoding_complete(&self) -> bool {
+        !self.saps.iter().any(|s| {
+            s.kind.is_atomic()
+                || matches!(
+                    s.kind,
+                    SapKind::Send { .. }
+                        | SapKind::Recv { .. }
+                        | SapKind::TrySend { .. }
+                        | SapKind::TryRecv { .. }
+                        | SapKind::ChanClose(_)
+                        | SapKind::MailboxSend { .. }
+                        | SapKind::MailboxRecv { .. }
+                )
         })
-    }
-
-    /// Whether the trace contains any C11 atomic operation. Like
-    /// [`SymTrace::has_channel_ops`], the happens-before encoding for
-    /// per-ordering atomics is incomplete (store-to-load forwarding is
-    /// pinned, release sequences are approximated), so exhausted searches
-    /// over such traces must not certify unsatisfiability.
-    pub fn has_atomic_ops(&self) -> bool {
-        self.saps.iter().any(|s| s.kind.is_atomic())
     }
 
     /// The initial value of a global cell (what a read with no earlier
