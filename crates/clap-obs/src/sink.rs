@@ -246,7 +246,7 @@ pub const EVENT_FIELD_SCHEMA: &[(&str, &[&str])] = &[
     ("bench.vm", &["host_cores", "repeats"]),
     (
         "bench.vm.cell",
-        &["workload", "phase", "backend", "millis", "steps", "speedup"],
+        &["workload", "phase", "millis", "steps", "ns_per_step"],
     ),
     (
         "bench.serve",

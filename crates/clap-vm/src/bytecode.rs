@@ -1,7 +1,7 @@
 //! The flat-bytecode program representation: the whole CFG lowered once
 //! into a single code array with pre-resolved jump targets.
 //!
-//! The tree-walking interpreter pays three pointer chases per step
+//! Walking the CFG directly costs three pointer chases per step
 //! (`functions[f].blocks[b].instrs[ip]`) plus a terminator clone at every
 //! block boundary. This module flattens every function's blocks into one
 //! `Vec<Op>` — the shape of souvenir's VM (`VecMap<InstrAddr, Instr>` plus
@@ -9,17 +9,19 @@
 //! indexed load of a `Copy` instruction, and `goto`/`branch` become jumps
 //! to absolute instruction addresses resolved at compile time.
 //!
-//! Design invariants (the differential suite in `tests/vm_equivalence.rs`
-//! pins all of them):
+//! Design invariants (the golden snapshot of `tests/vm_golden.rs` pins
+//! the observable ones):
 //!
 //! * **One op per scheduler step.** Every IR instruction *and* every
 //!   terminator lowers to exactly one [`Op`], including fall-through
-//!   `goto`s. No fusion, no peephole: the bytecode backend must present
-//!   the same enabled-action lists, step counts, monitor event streams and
-//!   schedules as the tree walker, byte for byte.
-//! * **Addresses are dense.** The op at `pc` for block `b`, instruction
-//!   `ip` is `block_entry(b) + ip`; a block's terminator sits right after
-//!   its last instruction. That makes the `(block, ip)` frame coordinates
+//!   `goto`s. No fusion, no peephole: step counts, enabled-action lists,
+//!   monitor event streams and schedules stay those of the CFG's
+//!   statement-per-step semantics, which the seed→schedule mapping (and
+//!   with it every recorded failure) depends on.
+//! * **Addresses are dense.** Functions and their blocks are laid out in
+//!   order; the op for block `b`, instruction `ip` sits at `b`'s first
+//!   address plus `ip`, and a block's terminator right after its last
+//!   instruction. That makes the `(block, ip)` frame coordinates
 //!   the rest of the system reads (the symbolic executor's failure
 //!   context, the oracle's assert evaluation) recoverable from a `pc` via
 //!   one side-table lookup — see [`CompiledProgram::info`].
@@ -275,10 +277,6 @@ pub struct CompiledProgram {
     pub(crate) arg_pool: Vec<Operand>,
     pub(crate) funcs: Vec<FuncInfo>,
     pub(crate) info: Vec<PcInfo>,
-    /// Flattened per-function block→address table (the jump table).
-    pub(crate) block_entry: Vec<u32>,
-    /// Per-function offset into [`CompiledProgram::block_entry`].
-    pub(crate) block_base: Vec<u32>,
 }
 
 impl CompiledProgram {
@@ -303,15 +301,6 @@ impl CompiledProgram {
     #[inline]
     pub fn func(&self, f: FuncId) -> FuncInfo {
         self.funcs[f.index()]
-    }
-
-    /// The absolute address of `(func, block, ip)` — valid for
-    /// `ip ≤ instrs.len()` (the terminator's address is one past the last
-    /// instruction).
-    #[inline]
-    pub fn pc_of(&self, func: FuncId, block: BlockId, ip: usize) -> u32 {
-        let base = self.block_base[func.index()] as usize;
-        self.block_entry[base + block.index()] + ip as u32
     }
 
     /// The interned operand list of an [`ArgsRef`].
@@ -359,21 +348,19 @@ mod tests {
         )
         .unwrap();
         let c = CompiledProgram::new(&p);
-        assert_eq!(c.len(), c.info.len());
-        // Every (func, block, ip) coordinate maps to a pc whose info maps
-        // straight back.
-        for (fi, f) in p.functions.iter().enumerate() {
-            let func = FuncId(fi as u32);
-            for (bi, b) in f.blocks.iter().enumerate() {
-                let block = BlockId(bi as u32);
-                for ip in 0..=b.instrs.len() {
-                    let pc = c.pc_of(func, block, ip);
-                    let info = c.info(pc);
-                    assert_eq!(info.block, block);
-                    assert_eq!(info.ip as usize, ip);
-                }
-            }
-        }
+        // Functions in order, blocks in order, each block's instructions
+        // then its terminator: every (block, ip) coordinate has exactly
+        // the next address.
+        let expected: Vec<(BlockId, u32)> = p
+            .functions
+            .iter()
+            .flat_map(|f| f.blocks.iter().enumerate())
+            .flat_map(|(bi, b)| (0..=b.instrs.len() as u32).map(move |ip| (BlockId(bi as u32), ip)))
+            .collect();
+        let actual: Vec<(BlockId, u32)> = (0..c.len() as u32)
+            .map(|pc| (c.info(pc).block, c.info(pc).ip))
+            .collect();
+        assert_eq!(actual, expected);
     }
 
     #[test]

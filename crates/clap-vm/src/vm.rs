@@ -8,12 +8,11 @@
 //! relaxed-memory visibility points that make Dekker-style algorithms fail
 //! under TSO/PSO.
 //!
-//! Two execution backends share this interface (see [`Backend`]): the
-//! original tree walker over the CFG, and the default flat-bytecode
-//! interpreter (see [`crate::bytecode`]) whose inner loop fetches `Copy`
-//! ops by absolute address. Both produce bit-identical schedules, stats,
-//! and monitor event streams; the tree walker is retained as the
-//! differential baseline.
+//! The program runs as flat bytecode (see [`crate::bytecode`]), compiled
+//! once and shared across VMs; the inner loop fetches one `Copy` op by
+//! absolute address per step. Its observable behaviour (schedules, stats,
+//! monitor event streams, final memory, oracle reports) is pinned by the
+//! golden snapshot of `tests/vm_golden.rs`.
 
 use crate::bytecode::{CompiledProgram, Op, Rv};
 use crate::mem::{Addr, BufferedStore, Layout, MemModel, Memory, StoreBuffer};
@@ -22,8 +21,8 @@ use crate::sched::{Action, Scheduler};
 use crate::stats::ExecStats;
 use crate::thread::{Frame, Lineage, Status, Thread, ThreadId};
 use clap_ir::{
-    eval_binop, eval_unop, AssertId, AtomicOrd, BlockId, ChanId, CondId, FuncId, GlobalId, Instr,
-    LocalId, MutexId, Operand, Program, Rvalue, Terminator,
+    eval_binop, eval_unop, AssertId, AtomicOrd, BlockId, ChanId, CondId, FuncId, GlobalId, LocalId,
+    MutexId, Operand, Program,
 };
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
@@ -84,29 +83,17 @@ impl SharedSpec {
     }
 }
 
-/// Which interpreter executes the program. Both backends implement the
-/// exact same step semantics — same enabled actions, same stats, same
-/// monitor events at the same points — so they are interchangeable under
-/// any scheduler.
+/// The interpreter that executes the program; there is only one. The
+/// enum survives solely as the last argument of [`Vm::with_compiled`],
+/// which the benchmark harness calls; the next change to the benchmark
+/// removes both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
-    /// Walk the CFG directly (`functions[f].blocks[b].instrs[ip]`). The
-    /// original interpreter, kept as the differential-testing baseline.
-    Tree,
     /// Execute flat bytecode compiled once per program (see
     /// [`crate::compile`]): index-advancing dispatch over `Copy` ops with
     /// pre-resolved jump targets.
     #[default]
     Bytecode,
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Backend::Tree => write!(f, "tree"),
-            Backend::Bytecode => write!(f, "bytecode"),
-        }
-    }
 }
 
 /// What executing a thread's next step would do — used by replay schedulers
@@ -241,13 +228,13 @@ struct ThreadImage {
     store_len: u32,
 }
 
-/// Flattened activation record; `pc` is re-derived from `(func, block,
-/// ip)` at restore time so snapshots are interchangeable across backends.
+/// Flattened activation record.
 #[derive(Debug, Clone, Copy)]
 struct FrameImage {
     func: FuncId,
     block: BlockId,
     ip: u32,
+    pc: u32,
     ret_dst: Option<LocalId>,
     locals_start: u32,
     locals_len: u32,
@@ -290,7 +277,6 @@ pub struct StepProfile {
 pub struct Vm<'p> {
     program: &'p Program,
     compiled: Arc<CompiledProgram>,
-    backend: Backend,
     layout: Layout,
     memory: Memory,
     model: MemModel,
@@ -327,24 +313,14 @@ impl<'p> Vm<'p> {
 
     /// Creates a VM with an explicit shared-variable specification.
     pub fn with_shared(program: &'p Program, model: MemModel, shared: SharedSpec) -> Self {
-        Self::with_backend(program, model, shared, Backend::default())
-    }
-
-    /// Creates a VM with an explicit execution backend (compiling the
-    /// program's bytecode itself).
-    pub fn with_backend(
-        program: &'p Program,
-        model: MemModel,
-        shared: SharedSpec,
-        backend: Backend,
-    ) -> Self {
         let compiled = Arc::new(CompiledProgram::new(program));
-        Self::with_compiled(program, compiled, model, shared, backend)
+        Self::with_compiled(program, compiled, model, shared, Backend::Bytecode)
     }
 
     /// Creates a VM reusing an already-compiled program — the cheap
     /// constructor when many VMs execute the same program (exploration
-    /// workers, replay validators, the serving loop).
+    /// workers, replay validators, the serving loop). `_backend` has a
+    /// single possible value (see [`Backend`]).
     ///
     /// # Panics
     ///
@@ -354,7 +330,7 @@ impl<'p> Vm<'p> {
         compiled: Arc<CompiledProgram>,
         model: MemModel,
         shared: SharedSpec,
-        backend: Backend,
+        _backend: Backend,
     ) -> Self {
         let expected: usize = program
             .functions
@@ -383,7 +359,6 @@ impl<'p> Vm<'p> {
         Vm {
             program,
             compiled,
-            backend,
             layout,
             memory,
             model,
@@ -418,11 +393,6 @@ impl<'p> Vm<'p> {
     /// The memory model in effect.
     pub fn model(&self) -> MemModel {
         self.model
-    }
-
-    /// The execution backend in effect.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// The compiled bytecode, shareable with other VMs over the same
@@ -535,12 +505,9 @@ impl<'p> Vm<'p> {
         &self.buffers[t.index()]
     }
 
-    /// Classifies what stepping thread `t` would do, without side effects.
-    ///
-    /// Both backends share this implementation: it classifies the flat
-    /// bytecode op at the thread's position (for the tree walker the
-    /// address is re-derived from `(func, block, ip)`), which is exactly
-    /// the instruction or terminator the step would execute.
+    /// Classifies what stepping thread `t` would do, without side effects,
+    /// from the op at the thread's `pc`: exactly the instruction or
+    /// terminator the step would execute.
     ///
     /// # Panics
     ///
@@ -549,12 +516,8 @@ impl<'p> Vm<'p> {
         let thread = &self.threads[t.index()];
         assert!(!thread.frames.is_empty(), "preview of an exited thread");
         let frame = thread.frame();
-        let pc = match self.backend {
-            Backend::Bytecode => frame.pc,
-            Backend::Tree => self.compiled.pc_of(frame.func, frame.block, frame.ip),
-        };
         let sap = thread.next_sap_index;
-        match self.compiled.op(pc) {
+        match self.compiled.op(frame.pc) {
             // Terminators: a thread's final `return` flushes its buffer.
             Op::Jump { .. } | Op::Branch { .. } => StepPreview::Invisible,
             Op::Return { .. } => {
@@ -743,11 +706,7 @@ impl<'p> Vm<'p> {
             return None;
         }
         let frame = thread.frame();
-        let pc = match self.backend {
-            Backend::Bytecode => frame.pc,
-            Backend::Tree => self.compiled.pc_of(frame.func, frame.block, frame.ip),
-        };
-        match self.compiled.op(pc) {
+        match self.compiled.op(frame.pc) {
             Op::Assert { cond, id } => Some((id, operand(frame, cond) != 0)),
             _ => None,
         }
@@ -803,12 +762,7 @@ impl<'p> Vm<'p> {
             match th.status {
                 Status::BlockedRecv(c) => c == chan,
                 Status::Runnable => {
-                    let fr = th.frame();
-                    let pc = match self.backend {
-                        Backend::Bytecode => fr.pc,
-                        Backend::Tree => self.compiled.pc_of(fr.func, fr.block, fr.ip),
-                    };
-                    matches!(self.compiled.op(pc), Op::Recv { chan: c, .. } if c == chan)
+                    matches!(self.compiled.op(th.frame().pc), Op::Recv { chan: c, .. } if c == chan)
                 }
                 _ => false,
             }
@@ -940,6 +894,7 @@ impl<'p> Vm<'p> {
                     func: fr.func,
                     block: fr.block,
                     ip: fr.ip as u32,
+                    pc: fr.pc,
                     ret_dst: fr.ret_dst,
                     locals_start,
                     locals_len: fr.locals.len() as u32,
@@ -1016,6 +971,7 @@ impl<'p> Vm<'p> {
                 fr.func = fi.func;
                 fr.block = fi.block;
                 fr.ip = fi.ip as usize;
+                fr.pc = fi.pc;
                 fr.ret_dst = fi.ret_dst;
                 fr.locals.clear();
                 fr.locals.extend_from_slice(
@@ -1103,7 +1059,6 @@ impl<'p> Vm<'p> {
         self.stats = snapshot.stats;
         self.announced_main = snapshot.announced_main;
         self.outcome = None;
-        self.resync_pcs();
     }
 
     /// Like [`Vm::restore`], but consumes the snapshot (a one-shot
@@ -1172,21 +1127,6 @@ impl<'p> Vm<'p> {
         };
         self.outcome = None;
         self.announced_main = false;
-    }
-
-    /// Re-derives every frame's flat `pc` from its `(func, block, ip)`
-    /// coordinates — restore-time sync that makes snapshots
-    /// interchangeable across backends (the tree walker never maintains
-    /// `pc`).
-    fn resync_pcs(&mut self) {
-        if self.backend != Backend::Bytecode {
-            return;
-        }
-        for th in &mut self.threads {
-            for fr in &mut th.frames {
-                fr.pc = self.compiled.pc_of(fr.func, fr.block, fr.ip);
-            }
-        }
     }
 
     /// Performs one action directly — caller-driven execution for tools
@@ -1448,19 +1388,11 @@ impl<'p> Vm<'p> {
         }
     }
 
+    /// The inner loop: one `Copy` op fetched by absolute address, no
+    /// block lookup, no terminator clone. Its stats increments, monitor
+    /// callbacks (and their order) and blocking behaviour are pinned by
+    /// the golden snapshot in `tests/vm_golden.rs`.
     fn step_thread(&mut self, t: ThreadId, monitor: &mut dyn Monitor) {
-        match self.backend {
-            Backend::Bytecode => self.step_thread_bc(t, monitor),
-            Backend::Tree => self.step_thread_tree(t, monitor),
-        }
-    }
-
-    /// The bytecode inner loop: one `Copy` op fetched by absolute address,
-    /// no block lookup, no terminator clone. Must mirror
-    /// [`Vm::step_thread_tree`] effect-for-effect — stats increments,
-    /// monitor callbacks and their order, blocking behavior — so the two
-    /// backends stay schedule-equivalent.
-    fn step_thread_bc(&mut self, t: ThreadId, monitor: &mut dyn Monitor) {
         self.stats.steps += 1;
         let ti = t.index();
         let pc = self.threads[ti].frame().pc;
@@ -2015,529 +1947,6 @@ impl<'p> Vm<'p> {
             }
         }
     }
-
-    fn step_thread_tree(&mut self, t: ThreadId, monitor: &mut dyn Monitor) {
-        self.stats.steps += 1;
-        let program = self.program;
-        let (func_id, block_id, ip) = {
-            let frame = self.threads[t.index()].frame();
-            (frame.func, frame.block, frame.ip)
-        };
-        let func = program.function(func_id);
-        let block = func.block(block_id);
-        if ip >= block.instrs.len() {
-            self.exec_terminator(t, func_id, monitor);
-            return;
-        }
-        let instr = &block.instrs[ip];
-        match instr {
-            Instr::Assign { dst, rv } => {
-                let frame = self.threads[t.index()].frame_mut();
-                let value = match rv {
-                    Rvalue::Use(op) => operand(frame, *op),
-                    Rvalue::Unary(op, a) => eval_unop(*op, operand(frame, *a)),
-                    Rvalue::Binary(op, a, b) => {
-                        eval_binop(*op, operand(frame, *a), operand(frame, *b))
-                    }
-                };
-                frame.locals[dst.index()] = value;
-                frame.ip += 1;
-                self.stats.instructions += 1;
-            }
-            Instr::Load { dst, global, index } => {
-                let frame = self.threads[t.index()].frame();
-                let offset = index.map(|op| operand(frame, op)).unwrap_or(0);
-                let Some(addr) = self.layout.addr(*global, offset) else {
-                    let name = &program.globals[global.index()].name;
-                    self.fault(t, format!("load out of bounds: {name}[{offset}]"));
-                    return;
-                };
-                let shared = self.is_shared(*global);
-                let value = if shared && self.model.buffered() {
-                    self.buffers[t.index()]
-                        .forward(addr)
-                        .unwrap_or_else(|| self.memory.read(addr))
-                } else {
-                    self.memory.read(addr)
-                };
-                let frame = self.threads[t.index()].frame_mut();
-                frame.locals[dst.index()] = value;
-                frame.ip += 1;
-                self.stats.instructions += 1;
-                if shared {
-                    self.take_sap(t);
-                    monitor.on_access(
-                        t,
-                        &AccessEvent {
-                            global: *global,
-                            offset: offset as usize,
-                            addr,
-                            is_write: false,
-                            value,
-                        },
-                    );
-                }
-            }
-            Instr::Store { global, index, src } => {
-                let frame = self.threads[t.index()].frame();
-                let offset = index.map(|op| operand(frame, op)).unwrap_or(0);
-                let value = operand(frame, *src);
-                let Some(addr) = self.layout.addr(*global, offset) else {
-                    let name = &program.globals[global.index()].name;
-                    self.fault(t, format!("store out of bounds: {name}[{offset}]"));
-                    return;
-                };
-                let shared = self.is_shared(*global);
-                self.threads[t.index()].frame_mut().ip += 1;
-                self.stats.instructions += 1;
-                if shared {
-                    let po_index = self.take_sap(t);
-                    if self.model.buffered() {
-                        self.buffers[t.index()].push(BufferedStore {
-                            addr,
-                            value,
-                            po_index,
-                            release: false,
-                        });
-                    } else {
-                        self.memory.write(addr, value);
-                        monitor.on_commit(t, addr, value);
-                    }
-                    monitor.on_access(
-                        t,
-                        &AccessEvent {
-                            global: *global,
-                            offset: offset as usize,
-                            addr,
-                            is_write: true,
-                            value,
-                        },
-                    );
-                } else {
-                    self.memory.write(addr, value);
-                }
-            }
-            Instr::Lock(m) => {
-                if self.mutex_owner[m.index()].is_none() {
-                    self.flush_buffer(t, monitor);
-                    self.mutex_owner[m.index()] = Some(t);
-                    self.threads[t.index()].frame_mut().ip += 1;
-                    self.stats.instructions += 1;
-                    self.take_sap(t);
-                    monitor.on_sync(t, &SyncEvent::Lock(*m));
-                } else {
-                    self.threads[t.index()].status = Status::BlockedLock(*m);
-                }
-            }
-            Instr::Unlock(m) => {
-                if self.mutex_owner[m.index()] != Some(t) {
-                    let name = &program.mutexes[m.index()];
-                    self.fault(t, format!("unlock of mutex `{name}` not held by {t}"));
-                    return;
-                }
-                self.flush_buffer(t, monitor);
-                self.mutex_owner[m.index()] = None;
-                self.wake_lock_waiters(*m);
-                self.threads[t.index()].frame_mut().ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::Unlock(*m));
-            }
-            Instr::Fork {
-                dst,
-                func: callee,
-                args,
-            } => {
-                let frame = self.threads[t.index()].frame();
-                let argv: Vec<i64> = args.iter().map(|a| operand(frame, *a)).collect();
-                self.flush_buffer(t, monitor);
-                let parent = &mut self.threads[t.index()];
-                parent.forks += 1;
-                let lineage = parent.lineage.child(parent.forks);
-                let child = ThreadId::from(self.threads.len());
-                let callee_fn = program.function(*callee);
-                let child_frame =
-                    Frame::new(*callee, callee_fn.entry, callee_fn.locals.len(), &argv);
-                self.threads
-                    .push(Thread::new(child, lineage.clone(), child_frame));
-                self.buffers.push(StoreBuffer::default());
-                self.mailboxes.push(VecDeque::new());
-                self.stats.threads += 1;
-                let frame = self.threads[t.index()].frame_mut();
-                frame.locals[dst.index()] = child.0 as i64;
-                frame.ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::Fork(child));
-                monitor.on_thread_start(child, &lineage, *callee);
-                monitor.on_func_enter(child, *callee);
-            }
-            Instr::Join { handle } => {
-                let frame = self.threads[t.index()].frame();
-                let target = operand(frame, *handle);
-                if target < 0 || target as usize >= self.threads.len() {
-                    self.fault(t, format!("join of invalid thread handle {target}"));
-                    return;
-                }
-                let target = ThreadId::from(target as usize);
-                if self.threads[target.index()].status == Status::Exited {
-                    self.flush_buffer(t, monitor);
-                    self.threads[t.index()].frame_mut().ip += 1;
-                    self.stats.instructions += 1;
-                    self.take_sap(t);
-                    monitor.on_sync(t, &SyncEvent::Join(target));
-                } else {
-                    self.threads[t.index()].status = Status::BlockedJoin(target);
-                }
-            }
-            Instr::Wait { cond, mutex } => {
-                if let Some(m) = self.threads[t.index()].waiting_reacquire {
-                    // Phase 2: reacquire the mutex, complete the wait.
-                    if self.mutex_owner[m.index()].is_none() {
-                        self.mutex_owner[m.index()] = Some(t);
-                        let thread = &mut self.threads[t.index()];
-                        thread.waiting_reacquire = None;
-                        thread.frame_mut().ip += 1;
-                        self.stats.instructions += 1;
-                        self.take_sap(t);
-                        monitor.on_sync(t, &SyncEvent::Wait(*cond, m));
-                    } else {
-                        self.threads[t.index()].status = Status::BlockedLock(m);
-                    }
-                } else {
-                    // Phase 1: release the mutex and park.
-                    if self.mutex_owner[mutex.index()] != Some(t) {
-                        let name = &program.mutexes[mutex.index()];
-                        self.fault(t, format!("wait without holding mutex `{name}`"));
-                        return;
-                    }
-                    self.flush_buffer(t, monitor);
-                    self.mutex_owner[mutex.index()] = None;
-                    self.wake_lock_waiters(*mutex);
-                    let thread = &mut self.threads[t.index()];
-                    thread.status = Status::BlockedWait(*cond);
-                    thread.waiting_reacquire = Some(*mutex);
-                    self.cond_queue[cond.index()].push_back(t);
-                    self.stats.instructions += 1;
-                    self.take_sap(t);
-                    monitor.on_sync(t, &SyncEvent::Unlock(*mutex));
-                }
-            }
-            Instr::Signal(c) => {
-                if let Some(waiter) = self.cond_queue[c.index()].pop_front() {
-                    self.threads[waiter.index()].status = Status::Runnable;
-                }
-                self.threads[t.index()].frame_mut().ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::Signal(*c));
-            }
-            Instr::Broadcast(c) => {
-                while let Some(waiter) = self.cond_queue[c.index()].pop_front() {
-                    self.threads[waiter.index()].status = Status::Runnable;
-                }
-                self.threads[t.index()].frame_mut().ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::Broadcast(*c));
-            }
-            Instr::Send { chan, src } => {
-                let chan = *chan;
-                if !self.chan_send_ready(t, chan) {
-                    self.threads[t.index()].status = Status::BlockedSend(chan);
-                    return;
-                }
-                let value = operand(self.threads[t.index()].frame(), *src);
-                self.flush_buffer(t, monitor);
-                if !self.chan_closed[chan.index()] {
-                    self.chan_queues[chan.index()].push_back(value);
-                    self.wake_chan_receivers(chan);
-                }
-                // Closed channel: the value is silently dropped — the
-                // "lost close" failure mode the asserts observe.
-                self.threads[t.index()].frame_mut().ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::ChanSend(chan));
-            }
-            Instr::Recv { dst, chan } => {
-                let chan = *chan;
-                if !self.chan_recv_ready(chan) {
-                    self.threads[t.index()].status = Status::BlockedRecv(chan);
-                    // A parked receiver is a rendezvous partner: let
-                    // capacity-0 senders recontend.
-                    self.wake_chan_senders(chan);
-                    return;
-                }
-                self.flush_buffer(t, monitor);
-                let value = match self.chan_queues[chan.index()].pop_front() {
-                    Some(v) => {
-                        self.wake_chan_senders(chan);
-                        v
-                    }
-                    None => -1, // closed and drained
-                };
-                let frame = self.threads[t.index()].frame_mut();
-                frame.locals[dst.index()] = value;
-                frame.ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::ChanRecv(chan));
-            }
-            Instr::TrySend { dst, chan, src } => {
-                let chan = *chan;
-                let value = operand(self.threads[t.index()].frame(), *src);
-                self.flush_buffer(t, monitor);
-                let ok = if self.chan_closed[chan.index()] {
-                    false
-                } else {
-                    let cap = self.program.chans[chan.index()].cap;
-                    let ready = if cap == 0 {
-                        self.chan_queues[chan.index()].is_empty() && self.recv_positioned(t, chan)
-                    } else {
-                        self.chan_queues[chan.index()].len() < cap
-                    };
-                    if ready {
-                        self.chan_queues[chan.index()].push_back(value);
-                        self.wake_chan_receivers(chan);
-                    }
-                    ready
-                };
-                let frame = self.threads[t.index()].frame_mut();
-                frame.locals[dst.index()] = ok as i64;
-                frame.ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::ChanTrySend(chan, ok));
-            }
-            Instr::TryRecv { dst, chan } => {
-                let chan = *chan;
-                self.flush_buffer(t, monitor);
-                let (value, ok) = match self.chan_queues[chan.index()].pop_front() {
-                    Some(v) => {
-                        self.wake_chan_senders(chan);
-                        (v, true)
-                    }
-                    None => (-1, false),
-                };
-                let frame = self.threads[t.index()].frame_mut();
-                frame.locals[dst.index()] = value;
-                frame.ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::ChanTryRecv(chan, ok));
-            }
-            Instr::ChanClose(c) => {
-                let c = *c;
-                self.flush_buffer(t, monitor);
-                self.chan_closed[c.index()] = true; // double-close is a no-op
-                self.wake_chan_senders(c);
-                self.wake_chan_receivers(c);
-                self.threads[t.index()].frame_mut().ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::ChanClose(c));
-            }
-            Instr::SpawnActor {
-                dst,
-                func: callee,
-                args,
-            } => {
-                let frame = self.threads[t.index()].frame();
-                let argv: Vec<i64> = args.iter().map(|a| operand(frame, *a)).collect();
-                self.flush_buffer(t, monitor);
-                let parent = &mut self.threads[t.index()];
-                parent.forks += 1;
-                let lineage = parent.lineage.child(parent.forks);
-                let child = ThreadId::from(self.threads.len());
-                let callee_fn = program.function(*callee);
-                let child_frame =
-                    Frame::new(*callee, callee_fn.entry, callee_fn.locals.len(), &argv);
-                self.threads
-                    .push(Thread::new(child, lineage.clone(), child_frame));
-                self.buffers.push(StoreBuffer::default());
-                self.mailboxes.push(VecDeque::new());
-                self.stats.threads += 1;
-                let frame = self.threads[t.index()].frame_mut();
-                frame.locals[dst.index()] = child.0 as i64;
-                frame.ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::SpawnActor(child));
-                monitor.on_thread_start(child, &lineage, *callee);
-                monitor.on_func_enter(child, *callee);
-            }
-            Instr::MailboxSend { target, src } => {
-                let frame = self.threads[t.index()].frame();
-                let handle = operand(frame, *target);
-                let value = operand(frame, *src);
-                if handle < 0 || handle as usize >= self.threads.len() {
-                    self.fault(t, format!("mailbox_send to invalid thread handle {handle}"));
-                    return;
-                }
-                let target = ThreadId::from(handle as usize);
-                self.flush_buffer(t, monitor);
-                if self.threads[target.index()].status != Status::Exited {
-                    self.mailboxes[target.index()].push_back(value);
-                    if self.threads[target.index()].status == Status::BlockedMailbox {
-                        self.threads[target.index()].status = Status::Runnable;
-                    }
-                }
-                // Dead letter: a message to an exited thread is dropped.
-                self.threads[t.index()].frame_mut().ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::MailboxSend(target));
-            }
-            Instr::MailboxRecv { dst } => {
-                if self.mailboxes[t.index()].is_empty() {
-                    self.threads[t.index()].status = Status::BlockedMailbox;
-                    return;
-                }
-                self.flush_buffer(t, monitor);
-                let value = self.mailboxes[t.index()]
-                    .pop_front()
-                    .expect("mailbox non-empty");
-                let frame = self.threads[t.index()].frame_mut();
-                frame.locals[dst.index()] = value;
-                frame.ip += 1;
-                self.stats.instructions += 1;
-                self.take_sap(t);
-                monitor.on_sync(t, &SyncEvent::MailboxRecv);
-            }
-            Instr::AtomicLoad { dst, global, ord } => {
-                let value = self.exec_atomic_load(t, *global, *ord, monitor);
-                let frame = self.threads[t.index()].frame_mut();
-                frame.locals[dst.index()] = value;
-                frame.ip += 1;
-                self.stats.instructions += 1;
-            }
-            Instr::AtomicStore { global, src, ord } => {
-                let value = operand(self.threads[t.index()].frame(), *src);
-                self.exec_atomic_store(t, *global, value, *ord, monitor);
-                self.threads[t.index()].frame_mut().ip += 1;
-                self.stats.instructions += 1;
-            }
-            Instr::AtomicRmw {
-                dst,
-                global,
-                src,
-                ord,
-            } => {
-                let delta = operand(self.threads[t.index()].frame(), *src);
-                let old = self.exec_atomic_rmw(t, *global, delta, *ord, monitor);
-                let frame = self.threads[t.index()].frame_mut();
-                frame.locals[dst.index()] = old;
-                frame.ip += 1;
-                self.stats.instructions += 1;
-            }
-            Instr::AtomicCas {
-                dst,
-                global,
-                expected,
-                desired,
-                ord,
-            } => {
-                let (expected, desired) = {
-                    let frame = self.threads[t.index()].frame();
-                    (operand(frame, *expected), operand(frame, *desired))
-                };
-                let old = self.exec_atomic_cas(t, *global, expected, desired, *ord, monitor);
-                let frame = self.threads[t.index()].frame_mut();
-                frame.locals[dst.index()] = old;
-                frame.ip += 1;
-                self.stats.instructions += 1;
-            }
-            Instr::Yield => {
-                self.threads[t.index()].frame_mut().ip += 1;
-                self.stats.instructions += 1;
-            }
-            Instr::Assert { cond, id } => {
-                let frame = self.threads[t.index()].frame();
-                let passed = operand(frame, *cond) != 0;
-                monitor.on_assert(t, *id, passed);
-                self.stats.instructions += 1;
-                if passed {
-                    self.threads[t.index()].frame_mut().ip += 1;
-                } else {
-                    self.outcome = Some(Outcome::AssertFailed {
-                        assert: *id,
-                        thread: t,
-                    });
-                }
-            }
-            Instr::Call {
-                dst,
-                func: callee,
-                args,
-            } => {
-                let frame = self.threads[t.index()].frame();
-                let argv: Vec<i64> = args.iter().map(|a| operand(frame, *a)).collect();
-                let callee_fn = program.function(*callee);
-                self.threads[t.index()].frame_mut().ip += 1;
-                self.stats.instructions += 1;
-                let mut new_frame =
-                    Frame::new(*callee, callee_fn.entry, callee_fn.locals.len(), &argv);
-                new_frame.ret_dst = *dst;
-                self.threads[t.index()].frames.push(new_frame);
-                monitor.on_func_enter(t, *callee);
-            }
-        }
-    }
-
-    fn exec_terminator(&mut self, t: ThreadId, func_id: FuncId, monitor: &mut dyn Monitor) {
-        let program = self.program;
-        let (block_id, term) = {
-            let frame = self.threads[t.index()].frame();
-            let block = program.function(frame.func).block(frame.block);
-            (frame.block, block.term.clone())
-        };
-        match term {
-            Terminator::Goto(target) => {
-                let frame = self.threads[t.index()].frame_mut();
-                frame.block = target;
-                frame.ip = 0;
-                monitor.on_edge(t, func_id, block_id, target);
-            }
-            Terminator::Branch {
-                cond,
-                then_bb,
-                else_bb,
-            } => {
-                let frame = self.threads[t.index()].frame_mut();
-                let taken = if operand(frame, cond) != 0 {
-                    then_bb
-                } else {
-                    else_bb
-                };
-                frame.block = taken;
-                frame.ip = 0;
-                self.stats.branches += 1;
-                monitor.on_edge(t, func_id, block_id, taken);
-            }
-            Terminator::Return(value) => {
-                let ret = {
-                    let frame = self.threads[t.index()].frame();
-                    value.map(|op| operand(frame, op))
-                };
-                let popped = self.threads[t.index()].frames.pop().expect("frame exists");
-                monitor.on_func_exit(t, popped.func);
-                if self.threads[t.index()].frames.is_empty() {
-                    // Thread exit: flush buffered stores, wake joiners.
-                    self.flush_buffer(t, monitor);
-                    self.threads[t.index()].status = Status::Exited;
-                    for th in &mut self.threads {
-                        if th.status == Status::BlockedJoin(t) {
-                            th.status = Status::Runnable;
-                        }
-                    }
-                    monitor.on_thread_exit(t);
-                } else if let (Some(dst), Some(v)) = (popped.ret_dst, ret) {
-                    self.threads[t.index()].frame_mut().locals[dst.index()] = v;
-                }
-            }
-        }
-    }
 }
 
 fn operand(frame: &Frame, op: Operand) -> i64 {
@@ -3046,51 +2455,63 @@ mod tests {
 
     #[test]
     fn snapshot_restore_resumes_identically() {
-        // Run N steps, snapshot, run to completion twice from the
-        // snapshot with identical schedulers: outcomes and final state
-        // must match — the §6.4 checkpointing primitive.
-        let p = parse(
-            "global int x = 0; mutex m;
-             fn w(n: int) { let i: int = 0; while (i < n) { lock(m); x = x + 1; unlock(m); i = i + 1; } }
-             fn main() { let a: thread = fork w(3); let b: thread = fork w(4); join a; join b;
-                         assert(x == 7); }",
-        )
-        .unwrap();
-        let mut vm = Vm::new(&p, MemModel::Tso);
-        let mut sched = RandomScheduler::new(11);
-        // Advance 40 scheduler steps by hand.
-        for _ in 0..40 {
-            if vm.outcome().is_some() {
-                break;
-            }
-            let actions = vm.enabled_actions();
-            if actions.is_empty() {
-                break;
-            }
-            let i = sched.pick(&vm, &actions);
-            vm.step(actions[i], &mut NullMonitor);
-        }
-        let snapshot = vm.snapshot();
-        assert!(snapshot.thread_count() >= 1);
-
-        let finish = |vm: &mut Vm<'_>| {
-            let mut sched = RandomScheduler::new(99);
-            let outcome = vm.run(&mut sched, &mut NullMonitor);
+        // Run N steps, snapshot, then finish with identical schedulers —
+        // live, restored in place over the finished run, and restored into
+        // freshly built VMs. Outcome, stats and final memory must match:
+        // the §6.4 checkpointing primitive.
+        let cases = [
+            // (source, scheduler seed, steps before the snapshot)
             (
-                outcome,
-                vm.read_global(p.global_by_name("x").unwrap(), 0),
-                vm.stats().steps,
-            )
-        };
-        let mut vm_a = Vm::new(&p, MemModel::Tso);
-        vm_a.restore(&snapshot);
-        let a = finish(&mut vm_a);
-        let mut vm_b = Vm::new(&p, MemModel::Tso);
-        vm_b.restore_from(snapshot); // last use: the by-value hand-off
-        let b = finish(&mut vm_b);
-        assert_eq!(a, b, "restored runs are deterministic given the seed");
-        assert_eq!(a.0, Outcome::Completed);
-        assert_eq!(a.1, 7);
+                "global int x = 0; mutex m;
+                 fn w(n: int) { let i: int = 0; while (i < n) { lock(m); x = x + 1; unlock(m); i = i + 1; } }
+                 fn main() { let a: thread = fork w(3); let b: thread = fork w(4); join a; join b;
+                             assert(x == 7); }",
+                11,
+                40,
+            ),
+            (
+                "global int x = 0;
+                 fn w(n: int) { let i: int = 0; while (i < n) { x = x + 1; yield; i = i + 1; } }
+                 fn main() { let a: thread = fork w(5); let b: thread = fork w(3); join a; join b; }",
+                5,
+                30,
+            ),
+        ];
+        for (src, seed, steps) in cases {
+            let p = parse(src).unwrap();
+            let x = p.global_by_name("x").unwrap();
+            let finish = |vm: &mut Vm<'_>| {
+                let mut sched = RandomScheduler::new(99);
+                let outcome = vm.run(&mut sched, &mut NullMonitor);
+                (outcome, *vm.stats(), vm.read_global(x, 0))
+            };
+            let mut vm = Vm::new(&p, MemModel::Tso);
+            let mut sched = RandomScheduler::new(seed);
+            for _ in 0..steps {
+                if vm.outcome().is_some() {
+                    break;
+                }
+                let actions = vm.enabled_actions();
+                if actions.is_empty() {
+                    break;
+                }
+                let i = sched.pick(&vm, &actions);
+                vm.step(actions[i], &mut NullMonitor);
+            }
+            let snapshot = vm.snapshot();
+            assert!(snapshot.thread_count() > 1, "snapshot taken mid-run");
+
+            let live = finish(&mut vm);
+            assert_eq!(live.0, Outcome::Completed);
+            vm.restore(&snapshot);
+            assert_eq!(finish(&mut vm), live, "restored in place");
+            let mut fresh = Vm::new(&p, MemModel::Tso);
+            fresh.restore(&snapshot);
+            assert_eq!(finish(&mut fresh), live, "restored into a new VM");
+            let mut fresh = Vm::new(&p, MemModel::Tso);
+            fresh.restore_from(snapshot); // last use: the by-value hand-off
+            assert_eq!(finish(&mut fresh), live, "handed by value to a new VM");
+        }
     }
 
     #[test]
@@ -3122,43 +2543,6 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_step_for_step() {
-        // The flat-bytecode interpreter must match the tree walker under
-        // identical schedules: same outcome, same stats (steps,
-        // instructions, branches, saps, drains), same memory.
-        let src = "global int x = 0; global int y = 0; mutex m; cond c;
-             global int ready = 0;
-             fn helper(n: int) { return n * 2; }
-             fn w() { let v: int = x; yield; x = v + 1; y = helper(v); }
-             fn waiter() { lock(m); while (ready == 0) { wait(c, m); } unlock(m); }
-             fn main() {
-                 let a: thread = fork w(); let b: thread = fork w();
-                 let t: thread = fork waiter();
-                 lock(m); ready = 1; signal(c); unlock(m);
-                 join a; join b; join t;
-             }";
-        let p = parse(src).unwrap();
-        for model in [MemModel::Sc, MemModel::Tso, MemModel::Pso] {
-            for seed in 0..40u64 {
-                let run_backend = |backend: Backend| {
-                    let mut vm = Vm::with_backend(&p, model, SharedSpec::All, backend);
-                    let mut sched = RandomScheduler::new(seed);
-                    let outcome = vm.run(&mut sched, &mut NullMonitor);
-                    let mem: Vec<i64> = (0..p.globals.len())
-                        .map(|g| vm.read_global(clap_ir::GlobalId::from(g), 0))
-                        .collect();
-                    (outcome, *vm.stats(), mem)
-                };
-                assert_eq!(
-                    run_backend(Backend::Tree),
-                    run_backend(Backend::Bytecode),
-                    "{model} seed {seed}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn reset_equals_fresh_vm() {
         let p = parse(
             "global int x = 0; mutex m;
@@ -3179,50 +2563,6 @@ mod tests {
             let mut sched = RandomScheduler::new(seed);
             let o = vm.run(&mut sched, &mut NullMonitor);
             assert_eq!((o, *vm.stats()), fresh(seed), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn snapshots_transfer_across_backends() {
-        // A snapshot captured mid-run on one backend must restore into
-        // the other and finish identically: `pc` is re-derived on
-        // restore, `(func, block, ip)` is the portable coordinate.
-        let p = parse(
-            "global int x = 0;
-             fn w(n: int) { let i: int = 0; while (i < n) { x = x + 1; yield; i = i + 1; } }
-             fn main() { let a: thread = fork w(5); let b: thread = fork w(3); join a; join b; }",
-        )
-        .unwrap();
-        for (from, to) in [
-            (Backend::Tree, Backend::Bytecode),
-            (Backend::Bytecode, Backend::Tree),
-        ] {
-            let mut vm = Vm::with_backend(&p, MemModel::Tso, SharedSpec::All, from);
-            let mut sched = RandomScheduler::new(5);
-            for _ in 0..30 {
-                if vm.outcome().is_some() {
-                    break;
-                }
-                let actions = vm.enabled_actions();
-                if actions.is_empty() {
-                    break;
-                }
-                let i = sched.pick(&vm, &actions);
-                vm.step(actions[i], &mut NullMonitor);
-            }
-            let snap = vm.snapshot();
-            let finish = |backend: Backend| {
-                let mut vm = Vm::with_backend(&p, MemModel::Tso, SharedSpec::All, backend);
-                vm.restore(&snap);
-                let mut sched = RandomScheduler::new(77);
-                let o = vm.run(&mut sched, &mut NullMonitor);
-                (
-                    o,
-                    *vm.stats(),
-                    vm.read_global(p.global_by_name("x").unwrap(), 0),
-                )
-            };
-            assert_eq!(finish(from), finish(to), "{from} -> {to}");
         }
     }
 
